@@ -158,19 +158,26 @@ fn bench_property_cache(c: &mut Criterion) {
 fn bench_workload_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("workload_generation");
     g.sample_size(10);
-    g.bench_function("arabic_32nodes_small", |b| {
-        b.iter(|| {
-            let wl = SuiteConfig {
-                matrix: SuiteMatrix::Arabic,
-                nodes: 32,
-                rack_size: 8,
-                scale: 0.05,
-                seed: 1,
-            }
-            .generate();
-            black_box(wl.total_nnz())
-        })
-    });
+    // arabic is ~7% remote, so it mostly times the local-reference path;
+    // stokes is ~56% remote and times the working-set / destination path.
+    for (name, matrix) in [
+        ("arabic_32nodes_small", SuiteMatrix::Arabic),
+        ("stokes_32nodes_small", SuiteMatrix::Stokes),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let wl = SuiteConfig {
+                    matrix,
+                    nodes: 32,
+                    rack_size: 8,
+                    scale: 0.05,
+                    seed: 1,
+                }
+                .generate();
+                black_box(wl.total_nnz())
+            })
+        });
+    }
     g.finish();
 }
 

@@ -24,7 +24,10 @@
 # pipelines), and a 50-seed chaoscheck smoke plus shrinker demo emitting
 # the CHAOS_report.json artifact and a 16-seed pass over the reduction
 # slice of the seed space (bit 32 set) emitting CHAOS_reduce_report.json
-# (see docs/FAULTS.md §Chaos testing).
+# (see docs/FAULTS.md §Chaos testing), the benchmark-sized suite
+# generator digests, and a build plus one-second smoke run of each
+# perfbench workload (perfbench is its own workspace, so no other step
+# compiles it; see perfbench/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -100,6 +103,21 @@ if [[ "$fast" -eq 0 ]]; then
     # committed CHAOS_report.json stays byte-identical to the base batch.
     run cargo run --release -q -p netsparse-bench --features audit --bin chaos -- \
         --seed0 4294967296 --seeds 16 --out CHAOS_reduce_report.json
+    # The suite generator's output pinned at benchmark size (the small
+    # configurations run in the default suite).
+    run cargo test -q -p netsparse-tests --release --test generator_digest -- --ignored
+    # Benchmark harness smoke: every workload for one second; the last
+    # line of each run must report every checked point correct.
+    perfbench=(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml --)
+    run cargo build --offline --release --quiet --manifest-path perfbench/Cargo.toml
+    for w in uk_gather europe_dense arabic_scatter stokes_loss1; do
+        echo "==> perfbench --workload $w --seconds 1"
+        last=$("${perfbench[@]}" --workload "$w" --seconds 1 | tail -n 1)
+        [[ "$last" == '{"correct": true'* ]] || {
+            echo "perfbench $w: $last"
+            exit 1
+        }
+    done
 fi
 
 echo "ci: all checks passed"
