@@ -89,7 +89,51 @@ fn bench_pending_table(c: &mut Criterion) {
             black_box(t.len())
         })
     });
+    // Realistic idx streams through the domain-declared table the
+    // simulator builds. Stokes-like: a banded stream (stokes at scale 0.5
+    // has 263,936 columns) drifting through a window a few words wide.
+    let mut rng = SplitMix64::new(13);
+    let mut center = 0u32;
+    let banded: Vec<u32> = (0..100_000)
+        .map(|_| {
+            center = (center + rng.next_range(4) as u32) % 263_680;
+            center + rng.next_range(256) as u32
+        })
+        .collect();
+    g.bench_function("banded_264k_cols_100k", |b| {
+        b.iter(|| rig_unit_cycle(263_936, &banded))
+    });
+    // Europe-like: near-zero reuse, uniform over europe's 2,973,070
+    // columns at scale 0.5.
+    let scattered: Vec<u32> = (0..100_000)
+        .map(|_| rng.next_range(2_973_070) as u32)
+        .collect();
+    g.bench_function("scattered_2973k_cols_100k", |b| {
+        b.iter(|| rig_unit_cycle(2_973_070, &scattered))
+    });
     g.finish();
+}
+
+/// One RIG unit's Pending PR Table traffic over `stream`: a coalescing
+/// probe per idx, an insert on a miss, and the oldest outstanding PR
+/// retired first when the 256 entries are full.
+fn rig_unit_cycle(domain: u32, stream: &[u32]) -> u64 {
+    let mut t = PendingTable::for_domain(256, domain);
+    let mut live = std::collections::VecDeque::with_capacity(256);
+    let mut coalesced = 0u64;
+    for &idx in stream {
+        if t.contains(idx) {
+            coalesced += 1;
+            continue;
+        }
+        if t.is_full() {
+            let oldest = live.pop_front().expect("a full table has entries");
+            t.remove(oldest);
+        }
+        t.insert(idx);
+        live.push_back(idx);
+    }
+    coalesced
 }
 
 fn bench_concatenator(c: &mut Criterion) {

@@ -21,7 +21,7 @@ use netsparse_desim::{
     Engine, Histogram, Liveness, LossProcess, Reservoir, Scheduler, SimTime, SplitMix64,
 };
 use netsparse_netsim::Element;
-use netsparse_snic::{ConcatPacket, PrKind};
+use netsparse_snic::{ConcatPacket, IdxFilter, PrKind};
 use netsparse_sparse::CommWorkload;
 
 #[cfg(feature = "trace")]
@@ -387,12 +387,21 @@ impl<'a> World<'a> {
             .max()
             .unwrap_or(0);
         let mut functional = true;
+        // One scratch set, refilled per node with the remote idxs its
+        // stream references: node `p` owns exactly `partition().range(p)`,
+        // everything else it scans is a property it needs.
+        let mut needed = IdxFilter::new(self.wl.n_cols());
         let nodes: Vec<NodeReport> = self
             .nodes
             .iter()
             .enumerate()
             .map(|(p, n)| {
-                if n.received != n.needed {
+                needed.clear();
+                needed.insert_remote(
+                    self.wl.stream(p as u32),
+                    self.wl.partition().range(p as u32),
+                );
+                if n.received != needed {
                     functional = false;
                 }
                 let mut r = NodeReport {

@@ -157,11 +157,10 @@ pub(crate) struct NodeState {
     pub(crate) last_dup: u64,
     pub(crate) last_resp: u64,
     pub(crate) finish: Option<SimTime>,
-    /// Remote idxs this node's stream references (fixed-word bitset; the
-    /// functional check compares it against `received`).
-    pub(crate) needed: IdxFilter,
-    /// Distinct idxs a response has arrived for (bitset, same layout as
-    /// `needed` so equality is a word-wise compare).
+    /// Distinct idxs a response has arrived for. The functional check
+    /// compares it against the remote idxs of this node's stream, rebuilt
+    /// into an `IdxFilter` of the same layout at report time so equality
+    /// is a word-wise compare.
     pub(crate) received: IdxFilter,
     /// Issue timestamp of each outstanding PR — the PR round-trip-latency
     /// probe and the conservation ledger's outstanding set.
@@ -207,10 +206,6 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
     (0..wl.nodes())
         .map(|p| {
             let stream = wl.stream(p);
-            let mut needed = IdxFilter::new(wl.n_cols());
-            // Node `p` owns exactly `partition().range(p)`; everything
-            // else in its stream is a remote property it needs.
-            needed.insert_remote(stream, wl.partition().range(p));
             // Straggler slowdown stretches this node's SNIC cycle and
             // server service times.
             let slowdown = cfg
@@ -255,7 +250,6 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
                 } else {
                     None
                 },
-                needed,
                 received: IdxFilter::new(wl.n_cols()),
                 issue_times: IssueLedger::new(cfg.snic.client_units() as usize),
                 responses: 0,

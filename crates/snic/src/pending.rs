@@ -10,23 +10,18 @@
 //! - **Flow control**: when the table is full (256 entries in Table 5) the
 //!   unit stalls, bounding the node's outstanding traffic — this is what
 //!   makes the lossless-network assumption self-enforcing.
+//!
+//! The hardware table is a CAM of `capacity` entries, so the simulated one
+//! is sized by its capacity too, not by the idx domain: a 128-node point
+//! builds 2,048 of them, and one bit per column each would cost hundreds of
+//! MiB on a multi-million-column matrix.
 
-/// Widest idx domain the dense bitset backing accepts: 2^22 bits is
-/// 512 KiB per table, past which the sorted fallback is cheaper to set up
-/// than the bitset is to probe.
-const DENSE_DOMAIN_LIMIT: u32 = 1 << 22;
+/// Key of an empty slot. Keys are idx words (`idx >> 6 < 2^26`), so no
+/// key ever equals it.
+const EMPTY: u32 = u32::MAX;
 
-/// Membership storage behind [`PendingTable`] (see [`PendingTable::for_domain`]).
-#[derive(Debug, Clone)]
-enum Backing {
-    /// One bit per idx of a known, bounded domain: `contains` is a single
-    /// word probe — the coalescing check runs once per scanned idx, so
-    /// this is the hottest read in the whole client pipeline.
-    Dense { words: Vec<u64> },
-    /// Sorted idx list for unbounded domains (arbitrary `u32` idxs):
-    /// binary search over at most `capacity` entries.
-    Sorted { entries: Vec<u32> },
-}
+/// 2^64 / φ: the Fibonacci-hashing multiplier.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A bounded set of outstanding PR idxs.
 ///
@@ -45,59 +40,66 @@ enum Backing {
 /// ```
 ///
 /// The table is a pure membership set — nothing observes an entry order —
-/// so the backing is chosen by how much is known about the idx domain:
-/// [`PendingTable::for_domain`] uses a dense bitset (O(1) probes) when the
-/// workload's column count is bounded, and [`PendingTable::new`] falls
-/// back to a sorted `Vec<u32>` for arbitrary `u32` idxs. Both backings
-/// are semantically identical.
+/// stored as a sparse bitset keyed by idx word: an open-addressing hash
+/// table (linear probing, Fibonacci hashing) whose slots hold an idx word
+/// `idx >> 6` and that word's 64 membership bits. Keying by word keeps a
+/// banded matrix's neighbouring idxs in one slot. Each occupied slot holds
+/// at least one outstanding idx, so at most `min(capacity, domain words)`
+/// slots are ever occupied; the slot count is the next power of two of
+/// twice that, keeping the load at or below one half (512 slots, 6 KiB, at
+/// the paper's 256 entries). A word whose last bit clears is deleted by
+/// backward shift, so probe runs never carry tombstones.
 #[derive(Debug, Clone)]
 pub struct PendingTable {
     capacity: usize,
     len: usize,
     peak: usize,
-    backing: Backing,
+    /// Exclusive idx bound: the declared domain, or 2^32 for any `u32`.
+    limit: u64,
+    /// Idx word held by each slot, or [`EMPTY`].
+    keys: Vec<u32>,
+    /// Outstanding idxs of each occupied slot's word (never zero there;
+    /// stale in empty slots).
+    bits: Vec<u64>,
+    /// `64 - log2(slots)`: maps a Fibonacci product to its home slot.
+    shift: u32,
 }
 
 impl PendingTable {
     /// Creates an empty table with room for `capacity` outstanding PRs,
-    /// accepting arbitrary `u32` idxs (sorted backing).
+    /// accepting arbitrary `u32` idxs.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "pending table needs at least one entry");
-        PendingTable {
-            capacity,
-            len: 0,
-            peak: 0,
-            backing: Backing::Sorted {
-                entries: Vec::with_capacity(capacity),
-            },
-        }
+        Self::with_limit(capacity, 1 << 32)
     }
 
     /// Creates an empty table with room for `capacity` outstanding PRs
-    /// whose idxs all lie in `[0, domain)`. Small domains (the workload's
-    /// column count) get a dense bitset, making the per-idx coalescing
-    /// probe a single word test; oversized domains fall back to the
-    /// sorted backing of [`PendingTable::new`].
+    /// whose idxs all lie in `[0, domain)`. The domain only bounds the
+    /// slot count (a domain of fewer than `capacity` words needs fewer
+    /// slots) and is checked on insert.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn for_domain(capacity: usize, domain: u32) -> Self {
+        Self::with_limit(capacity, u64::from(domain))
+    }
+
+    fn with_limit(capacity: usize, limit: u64) -> Self {
         assert!(capacity > 0, "pending table needs at least one entry");
-        if domain > DENSE_DOMAIN_LIMIT {
-            return Self::new(capacity);
-        }
+        let words = limit.div_ceil(64) as usize;
+        let slots = (2 * capacity.min(words).max(1)).next_power_of_two();
         PendingTable {
             capacity,
             len: 0,
             peak: 0,
-            backing: Backing::Dense {
-                words: vec![0u64; (domain as usize).div_ceil(64)],
-            },
+            limit,
+            keys: vec![EMPTY; slots],
+            bits: vec![0; slots],
+            shift: 64 - slots.trailing_zeros(),
         }
     }
 
@@ -121,16 +123,33 @@ impl PendingTable {
         self.len >= self.capacity
     }
 
+    /// The slot `key`'s probe run starts at.
+    #[inline]
+    fn home(&self, key: u32) -> usize {
+        (u64::from(key).wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`, or `Err` with the empty slot that ends its
+    /// probe run (where an insert puts it). The load stays at or below one
+    /// half, so every run ends.
+    #[inline]
+    fn find(&self, key: u32) -> Result<usize, usize> {
+        let mask = self.keys.len() - 1;
+        let mut s = self.home(key);
+        loop {
+            match self.keys[s] {
+                k if k == key => return Ok(s),
+                EMPTY => return Err(s),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
     /// Whether a PR for `idx` is outstanding (the coalescing probe).
     #[inline]
     pub fn contains(&self, idx: u32) -> bool {
-        match &self.backing {
-            Backing::Dense { words } => {
-                let w = (idx >> 6) as usize;
-                w < words.len() && words[w] & (1u64 << (idx & 63)) != 0
-            }
-            Backing::Sorted { entries } => entries.binary_search(&idx).is_ok(),
-        }
+        self.find(idx >> 6)
+            .is_ok_and(|s| self.bits[s] & (1u64 << (idx & 63)) != 0)
     }
 
     /// Registers an outstanding PR for `idx`. Returns `false` (and does
@@ -147,28 +166,45 @@ impl PendingTable {
         if self.is_full() {
             return false;
         }
-        match &mut self.backing {
-            Backing::Dense { words } => {
-                let w = (idx >> 6) as usize;
-                let bit = 1u64 << (idx & 63);
-                assert!(w < words.len(), "idx {idx} outside the declared domain");
+        assert!(
+            u64::from(idx) < self.limit,
+            "idx {idx} outside the declared domain"
+        );
+        let bit = 1u64 << (idx & 63);
+        match self.find(idx >> 6) {
+            Ok(s) => {
                 assert!(
-                    words[w] & bit == 0,
+                    self.bits[s] & bit == 0,
                     "idx {idx} already outstanding; caller must coalesce"
                 );
-                words[w] |= bit;
+                self.bits[s] |= bit;
             }
-            Backing::Sorted { entries } => {
-                let pos = match entries.binary_search(&idx) {
-                    // simaudit:allow(no-lib-panic): double insert is a model bug, same contract as before
-                    Ok(_) => panic!("idx {idx} already outstanding; caller must coalesce"),
-                    Err(pos) => pos,
-                };
-                entries.insert(pos, idx);
+            Err(s) => {
+                self.keys[s] = idx >> 6;
+                self.bits[s] = bit;
             }
         }
         self.len += 1;
         self.peak = self.peak.max(self.len);
+        true
+    }
+
+    /// Clears the entry for `idx` if it is outstanding; returns whether it
+    /// was. One probe serves both the check and the removal.
+    #[inline]
+    pub fn remove_if_present(&mut self, idx: u32) -> bool {
+        let Ok(s) = self.find(idx >> 6) else {
+            return false;
+        };
+        let bit = 1u64 << (idx & 63);
+        if self.bits[s] & bit == 0 {
+            return false;
+        }
+        self.bits[s] &= !bit;
+        if self.bits[s] == 0 {
+            self.vacate(s);
+        }
+        self.len -= 1;
         true
     }
 
@@ -180,25 +216,34 @@ impl PendingTable {
     /// request is a protocol violation.
     #[inline]
     pub fn remove(&mut self, idx: u32) {
-        match &mut self.backing {
-            Backing::Dense { words } => {
-                let w = (idx >> 6) as usize;
-                let bit = 1u64 << (idx & 63);
-                assert!(
-                    w < words.len() && words[w] & bit != 0,
-                    "response for idx {idx} that was never outstanding"
-                );
-                words[w] &= !bit;
+        assert!(
+            self.remove_if_present(idx),
+            "response for idx {idx} that was never outstanding"
+        );
+    }
+
+    /// Empties slot `hole` by backward shift. Walking on through the probe
+    /// run, each key whose probe path passes the hole (its home is at
+    /// least as far behind its slot as the hole is, cyclically) moves into
+    /// the hole, and its old slot becomes the hole; the run's end leaves
+    /// the last hole empty.
+    fn vacate(&mut self, mut hole: usize) {
+        let mask = self.keys.len() - 1;
+        let mut s = hole;
+        loop {
+            s = (s + 1) & mask;
+            let key = self.keys[s];
+            if key == EMPTY {
+                break;
             }
-            Backing::Sorted { entries } => {
-                let pos = entries.binary_search(&idx).unwrap_or_else(|_| {
-                    // simaudit:allow(no-lib-panic): orphan response is a protocol violation, same contract as before
-                    panic!("response for idx {idx} that was never outstanding")
-                });
-                entries.remove(pos);
+            let home = self.home(key);
+            if (s.wrapping_sub(home) & mask) >= (s.wrapping_sub(hole) & mask) {
+                self.keys[hole] = key;
+                self.bits[hole] = self.bits[s];
+                hole = s;
             }
         }
-        self.len -= 1;
+        self.keys[hole] = EMPTY;
     }
 
     /// Highest simultaneous occupancy observed.
@@ -212,10 +257,7 @@ impl PendingTable {
         if self.len == 0 {
             return;
         }
-        match &mut self.backing {
-            Backing::Dense { words } => words.fill(0),
-            Backing::Sorted { entries } => entries.clear(),
-        }
+        self.keys.fill(EMPTY);
         self.len = 0;
     }
 }
@@ -223,58 +265,63 @@ impl PendingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every behavioral test runs against both backings: the dense bitset
-    /// and the sorted fallback must be indistinguishable through the API.
-    fn both(f: impl Fn(PendingTable)) {
-        f(PendingTable::new(3));
-        f(PendingTable::for_domain(3, 1 << 16));
-    }
+    use netsparse_desim::SplitMix64;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fills_and_frees() {
-        both(|mut t| {
-            for i in 0..3 {
-                assert!(t.insert(i));
-            }
-            assert!(t.is_full());
-            assert!(!t.insert(99));
-            t.remove(1);
-            assert!(!t.is_full());
-            assert!(t.insert(99));
-            assert_eq!(t.peak(), 3);
-        });
+        let mut t = PendingTable::new(3);
+        for i in 0..3 {
+            assert!(t.insert(i));
+        }
+        assert!(t.is_full());
+        assert!(!t.insert(99));
+        t.remove(1);
+        assert!(!t.is_full());
+        assert!(t.insert(99));
+        assert_eq!(t.peak(), 3);
     }
 
     #[test]
     fn contains_tracks_outstanding_only() {
-        both(|mut t| {
-            t.insert(7);
-            assert!(t.contains(7));
-            t.remove(7);
-            assert!(!t.contains(7));
-        });
+        let mut t = PendingTable::new(3);
+        t.insert(7);
+        assert!(t.contains(7));
+        t.remove(7);
+        assert!(!t.contains(7));
     }
 
     #[test]
     fn clear_forgets_everything() {
-        both(|mut t| {
-            t.insert(1);
-            t.insert(2);
-            t.clear();
-            assert!(t.is_empty());
-            assert!(t.insert(1));
-        });
+        let mut t = PendingTable::new(3);
+        t.insert(1);
+        t.insert(2);
+        t.clear();
+        assert!(t.is_empty());
+        assert!(!t.contains(2));
+        assert!(t.insert(1));
     }
 
     #[test]
-    fn oversized_domain_falls_back_to_sorted() {
-        // u32::MAX exceeds the dense limit; arbitrary idxs must still work.
+    fn slots_follow_capacity_not_domain() {
+        // 512 slots at the paper's 256 entries, whatever the column count.
+        assert_eq!(PendingTable::for_domain(256, 2_970_000).keys.len(), 512);
+        assert_eq!(PendingTable::new(256).keys.len(), 512);
+        // A domain of fewer words than entries needs fewer slots.
+        assert_eq!(PendingTable::for_domain(256, 1000).keys.len(), 32);
+        assert_eq!(PendingTable::for_domain(1 << 20, 4096).keys.len(), 128);
+    }
+
+    #[test]
+    fn full_u32_domain_accepts_any_idx() {
         let mut t = PendingTable::for_domain(4, u32::MAX);
         assert!(t.insert(u32::MAX - 1));
         assert!(t.contains(u32::MAX - 1));
         t.remove(u32::MAX - 1);
         assert!(t.is_empty());
+        let mut t = PendingTable::new(4);
+        assert!(t.insert(u32::MAX));
+        assert!(t.contains(u32::MAX));
     }
 
     #[test]
@@ -287,7 +334,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "already outstanding")]
-    fn double_insert_is_a_bug_dense() {
+    fn double_insert_is_a_bug_for_domain() {
         let mut t = PendingTable::for_domain(4, 64);
         t.insert(7);
         t.insert(7);
@@ -301,13 +348,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "never outstanding")]
-    fn orphan_response_is_a_bug_dense() {
+    fn orphan_response_is_a_bug_for_domain() {
         PendingTable::for_domain(4, 64).remove(1);
     }
 
     #[test]
     #[should_panic(expected = "outside the declared domain")]
-    fn dense_rejects_out_of_domain_insert() {
+    fn rejects_out_of_domain_insert() {
         PendingTable::for_domain(4, 64).insert(64);
     }
 
@@ -315,5 +362,157 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_rejected() {
         PendingTable::new(0);
+    }
+
+    /// How the model test draws idxs.
+    #[derive(Clone, Copy, Debug)]
+    enum Pattern {
+        /// A slowly drifting window a few words wide (stokes-like): many
+        /// idxs per word.
+        Banded,
+        /// Uniform over the domain (europe-like): about one idx per word.
+        Scattered,
+        /// Words whose home is one of the last two slots or the first, so
+        /// probe runs collide and wrap past the table end, and deletes shift
+        /// chains.
+        Colliding,
+    }
+
+    /// Checks the table's layout: every occupied slot is reachable from
+    /// its key's home without crossing an empty slot, no word is stored
+    /// twice or empty, and the bits add up to `len`.
+    fn check_layout(t: &PendingTable) {
+        let mut total = 0u64;
+        for (s, &key) in t.keys.iter().enumerate() {
+            if key == EMPTY {
+                continue;
+            }
+            assert_eq!(t.find(key), Ok(s), "word {key} lost from its probe run");
+            assert_ne!(t.bits[s], 0, "empty word {key} left in slot {s}");
+            total += u64::from(t.bits[s].count_ones());
+        }
+        assert_eq!(total, t.len as u64);
+    }
+
+    /// Drives `ops` random operations on `t` against a `BTreeSet` model.
+    /// Phases alternate between filling (mostly inserts, until full) and
+    /// draining (mostly removes, until empty), with an occasional clear.
+    fn run_model(mut t: PendingTable, pattern: Pattern, seed: u64, ops: usize) {
+        let mut rng = SplitMix64::new(seed);
+        let mut model = BTreeSet::new();
+        let limit = t.limit;
+        // Colliding pool: words (from the bottom and the top of the
+        // domain) whose home is slot 0 or one of the last two; a domain
+        // of a few words uses all of them.
+        let slots = t.keys.len();
+        let max_word = ((limit - 1) >> 6) as u32;
+        let words: BTreeSet<u32> = (0..=max_word.min(1 << 18))
+            .chain(max_word.saturating_sub(1 << 18)..=max_word)
+            .collect();
+        let mut pool: Vec<u32> = words
+            .iter()
+            .copied()
+            .filter(|&w| [0, slots - 2, slots - 1].contains(&t.home(w)))
+            .collect();
+        if pool.len() < 4 {
+            pool = words.into_iter().collect();
+        }
+        let mut center = 0u64;
+        let mut filling = true;
+        let (mut saw_full, mut saw_empty) = (false, false);
+        for _ in 0..ops {
+            let idx = match pattern {
+                Pattern::Banded => {
+                    center = (center + rng.next_range(8)) % limit;
+                    ((center + rng.next_range(192)) % limit) as u32
+                }
+                Pattern::Scattered => rng.next_range(limit) as u32,
+                Pattern::Colliding => {
+                    let w = pool[rng.next_range(pool.len() as u64) as usize];
+                    let idx = u64::from(w) * 64 + rng.next_range(8);
+                    idx.min(limit - 1) as u32
+                }
+            };
+            match rng.next_range(16) {
+                0 => assert_eq!(t.contains(idx), model.contains(&idx)),
+                1 if rng.next_range(64) == 0 => {
+                    t.clear();
+                    model.clear();
+                }
+                1..=2 => assert_eq!(t.remove_if_present(idx), model.remove(&idx)),
+                r => {
+                    if filling == (r < 12) {
+                        if !model.contains(&idx) {
+                            let room = !t.is_full();
+                            assert_eq!(t.insert(idx), room);
+                            if room {
+                                model.insert(idx);
+                            }
+                        }
+                    } else if let Some(&live) = model.iter().nth(idx as usize % model.len().max(1))
+                    {
+                        t.remove(live);
+                        model.remove(&live);
+                    }
+                }
+            }
+            if t.is_full() {
+                saw_full = true;
+                filling = false;
+            }
+            if t.is_empty() {
+                saw_empty = true;
+                filling = true;
+            }
+            assert_eq!(t.len(), model.len());
+            assert_eq!(t.is_full(), model.len() >= t.capacity());
+            assert!(t.peak() >= t.len());
+            check_layout(&t);
+            for &live in &model {
+                assert!(t.contains(live), "{pattern:?}: lost idx {live}");
+            }
+        }
+        let cap = t.capacity();
+        assert!(saw_empty, "{pattern:?} {cap}/{limit}: never drained");
+        // A domain of fewer idxs than entries can never fill.
+        if limit >= t.capacity() as u64 {
+            assert!(saw_full, "{pattern:?} {cap}/{limit}: never filled");
+        }
+    }
+
+    /// Tables covering the shapes the simulator builds and the edges of
+    /// the layout: tiny, paper-sized, domain narrower than the capacity
+    /// (in words and in idxs), and domains reaching `u32::MAX`.
+    fn model_tables() -> Vec<PendingTable> {
+        vec![
+            PendingTable::new(3),
+            PendingTable::new(256),
+            PendingTable::for_domain(256, 2_970_000),
+            PendingTable::for_domain(64, 1000),
+            PendingTable::for_domain(256, 100),
+            PendingTable::for_domain(32, u32::MAX),
+        ]
+    }
+
+    fn run_models(ops: usize) {
+        for (i, t) in model_tables().into_iter().enumerate() {
+            for (j, p) in [Pattern::Banded, Pattern::Scattered, Pattern::Colliding]
+                .into_iter()
+                .enumerate()
+            {
+                run_model(t.clone(), p, (i * 3 + j) as u64, ops);
+            }
+        }
+    }
+
+    #[test]
+    fn matches_btreeset_model() {
+        run_models(4_000);
+    }
+
+    #[test]
+    #[ignore = "long model run (~10^6 ops); scripts/ci.sh runs it in release"]
+    fn matches_btreeset_model_long() {
+        run_models(1_000_000 / 18);
     }
 }

@@ -93,9 +93,10 @@ impl RigClient {
     }
 
     /// Like [`RigClient::new`], but declares that every idx this unit will
-    /// ever see lies in `[0, idx_domain)` (the workload's column count),
-    /// letting the pending table use its dense-bitset backing
-    /// ([`PendingTable::for_domain`]) for O(1) coalescing probes.
+    /// ever see lies in `[0, idx_domain)` (the workload's column count).
+    /// The pending table stays sized by `pending_entries`; the domain only
+    /// shrinks it when it spans fewer idx words than entries, and an
+    /// out-of-domain issue panics ([`PendingTable::for_domain`]).
     pub fn with_idx_domain(node: u32, tid: u16, pending_entries: usize, idx_domain: u32) -> Self {
         Self::build(
             node,
@@ -239,9 +240,7 @@ impl RigClient {
     /// tracked) and sets the node's Idx Filter bit.
     #[inline]
     pub fn complete(&mut self, idx: u32, filter: &mut IdxFilter) {
-        if self.pending.contains(idx) {
-            self.pending.remove(idx);
-        }
+        self.pending.remove_if_present(idx);
         filter.insert(idx);
     }
 

@@ -11,6 +11,7 @@
 # simcheck engine's own unit/fixture suite (`cargo test -p xtask`),
 # clippy with the workspace deny-set, the debug test suite (runtime
 # auditor active via debug_assertions), the tier-1 release build + tests,
+# the Pending PR Table's long model run (see crates/snic/src/pending.rs),
 # the fault-recovery suite under the release auditor (see
 # docs/FAULTS.md), the structured-tracing suites with the `trace` feature
 # on (see docs/OBSERVABILITY.md), smoke runs of the ext_fault_sweep and
@@ -56,6 +57,9 @@ run cargo test -q
 if [[ "$fast" -eq 0 ]]; then
     run cargo build --release
     run cargo test -q --release
+    # The Pending PR Table's long randomized model run (~10^6 ops against
+    # a BTreeSet reference; ignored in the default suite).
+    run cargo test -q --release -p netsparse-snic -- --ignored
     # Fault injection + recovery with the runtime invariant auditor on
     # in release mode (debug runs already audit via debug_assertions).
     run cargo test -q -p netsparse-tests --features audit --release --test fault_recovery
